@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -200,6 +201,20 @@ int finish_observability(const util::ArgParser& args, std::ostream& err) {
   return finish_metrics(args, err);
 }
 
+/// Loads the legacy single-file snapshot at `db`. A missing file is an
+/// empty store unless `must_exist`; a file that exists but does not load
+/// (an old format, corruption) always fails, so it is never overwritten
+/// by a fresh store.
+bool load_db(store::PatternStore& store, const std::string& db,
+             std::ostream& err, bool must_exist) {
+  if (store.load(db)) return true;
+  std::error_code ec;
+  if (!must_exist && !std::filesystem::exists(db, ec)) return true;
+  err << "cannot load pattern database " << db << " (" << store.last_error()
+      << ")\n";
+  return false;
+}
+
 /// Attaches `store` per the persistence flags: --store-dir opens the
 /// durable directory (recovery: newest valid snapshot + WAL tail), --db
 /// loads the legacy single-file snapshot. Returns false (with a message)
@@ -210,16 +225,13 @@ bool attach_store(const util::ArgParser& args, store::PatternStore& store,
   const std::string dir = args.get("store-dir");
   if (!dir.empty()) {
     if (!store.open(dir)) {
-      err << "cannot open store directory " << dir << "\n";
+      err << "cannot open store directory " << dir << " ("
+          << store.last_error() << ")\n";
       return false;
     }
     return true;
   }
-  if (!store.load(args.get("db")) && must_exist) {
-    err << "cannot load pattern database " << args.get("db") << "\n";
-    return false;
-  }
-  return true;
+  return load_db(store, args.get("db"), err, must_exist);
 }
 
 /// Persists `store`: snapshot rotation when durable, --db overwrite
@@ -543,20 +555,12 @@ int cmd_purge(const std::vector<std::string>& argv, std::istream&,
     return 2;
   }
   store::PatternStore store;
-  if (!store.load(args.get("db"))) {
-    err << "cannot load pattern database " << args.get("db") << "\n";
-    return 1;
-  }
+  if (!load_db(store, args.get("db"), err, /*must_exist=*/true)) return 1;
   const std::int64_t below = args.get_int("below", 2);
-  // Collect doomed ids via SQL, then delete rows + examples.
-  auto result = store.database().exec("SELECT pid, match_count FROM patterns");
   std::size_t purged = 0;
-  for (const store::Row& row : result.rows) {
-    if (row[1].as_int() < below) {
-      store.database().exec("DELETE FROM patterns WHERE pid = ?",
-                            {row[0]});
-      store.database().exec("DELETE FROM examples WHERE pid = ?",
-                            {row[0]});
+  for (const core::Pattern& p : store.export_patterns({})) {
+    if (static_cast<std::int64_t>(p.stats.match_count) < below &&
+        store.delete_pattern(p.id())) {
       ++purged;
     }
   }
@@ -734,7 +738,8 @@ int cmd_import(const std::vector<std::string>& argv, std::istream& in,
 
   store::PatternStore store;
   const std::string db = args.get("db");
-  store.load(db);  // merging into a fresh DB is fine too
+  // Merging into a fresh DB is fine too.
+  if (!load_db(store, db, err, /*must_exist=*/false)) return 1;
   for (const core::Pattern& p : imported.patterns) {
     store.upsert_pattern(p);
   }

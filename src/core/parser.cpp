@@ -1,6 +1,5 @@
 #include "core/parser.hpp"
 
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 
@@ -44,11 +43,6 @@ ParserMetrics& parser_metrics() {
 
 constexpr std::uint64_t kParseSampleMask = 63;
 
-bool matchprog_default_enabled() {
-  const char* env = std::getenv("SEQRTG_DISABLE_MATCHPROG");
-  return env == nullptr || env[0] == '\0' || env[0] == '0';
-}
-
 }  // namespace
 
 bool variable_matches(TokenType var, const Token& tok) {
@@ -88,7 +82,6 @@ bool variable_matches(TokenType var, const Token& tok) {
 Parser::Parser(ScannerOptions scanner_opts, SpecialTokenOptions special_opts)
     : scanner_(scanner_opts),
       special_opts_(special_opts),
-      matchprog_enabled_(matchprog_default_enabled()),
       compile_mutex_(std::make_unique<std::mutex>()) {}
 
 void Parser::clear() {

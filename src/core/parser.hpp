@@ -18,9 +18,8 @@
 // service (core/matchprog.hpp) — interned literal ids, sorted edge runs and
 // first-token jump tables replace per-node hashing and pointer chasing.
 // add_pattern invalidates the program; the next match recompiles it. The
-// trie walk remains as the reference implementation (differential-tested
-// against the program) and as the fallback when SEQRTG_DISABLE_MATCHPROG
-// is set.
+// trie walk remains as the reference implementation, differential-tested
+// against the program.
 #pragma once
 
 #include <atomic>
@@ -87,12 +86,11 @@ class Parser {
 
   void clear();
 
-  /// Toggles the compiled match program for this instance (defaults to on
-  /// unless SEQRTG_DISABLE_MATCHPROG is set in the environment). With it
-  /// off every match takes the pointer-chasing trie walk — the reference
-  /// path the differential tests compare against.
+  /// Toggles the compiled match program for this instance (on by
+  /// default). With it off every match takes the pointer-chasing trie
+  /// walk — the reference path the differential tests and benches compare
+  /// against.
   void set_matchprog_enabled(bool on) { matchprog_enabled_ = on; }
-  bool matchprog_enabled() const { return matchprog_enabled_; }
 
   /// Bumped on every pattern-set change (add_pattern / clear); compiled
   /// programs from an older epoch are invalid and lazily rebuilt.
@@ -133,7 +131,7 @@ class Parser {
   std::unordered_map<std::string, ServiceIndex, util::StringHash,
                      std::equal_to<>>
       services_;
-  bool matchprog_enabled_;
+  bool matchprog_enabled_ = true;
   std::uint64_t pattern_epoch_ = 0;
   // Held by pointer so the Parser stays movable (benchmarks return trained
   // parsers by value).

@@ -86,10 +86,9 @@ struct Pattern {
 std::string pattern_token_text(const PatternToken& t);
 
 /// Parses the canonical %-delimited text form back into pattern tokens
-/// (used when loading patterns from the store). Returns std::nullopt on
+/// (the inverse of text() up to variable types). Returns std::nullopt on
 /// malformed input (e.g. unbalanced '%' — the paper notes raw '%' in
-/// messages causes unknown-tag errors; the store always holds well-formed
-/// text).
+/// messages causes unknown-tag errors).
 std::optional<std::vector<PatternToken>> parse_pattern_text(
     std::string_view text);
 

@@ -9,7 +9,7 @@ namespace seqrtg::core {
 namespace {
 
 /// Repository operation counters, labelled by backend so the in-memory and
-/// SQL-backed stores share one metric family.
+/// durable stores share one metric family.
 obs::Counter& repo_op(const char* op) {
   return obs::default_registry().counter(
       "seqrtg_repo_ops_total", "Pattern repository operations",
@@ -94,7 +94,7 @@ void InMemoryRepository::upsert_pattern(const Pattern& p) {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) {
     by_id_.emplace(id, p);
-    by_service_[p.service].push_back(id);
+    by_service_[p.service].insert(id);
   } else {
     merge_pattern_into(it->second, p, example_cap());
   }
@@ -107,9 +107,8 @@ bool InMemoryRepository::delete_pattern(const std::string& id) {
   if (it == by_id_.end()) return false;
   const auto svc = by_service_.find(it->second.service);
   if (svc != by_service_.end()) {
-    auto& ids = svc->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) by_service_.erase(svc);
+    svc->second.erase(id);
+    if (svc->second.empty()) by_service_.erase(svc);
   }
   by_id_.erase(it);
   return true;

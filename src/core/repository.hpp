@@ -2,7 +2,7 @@
 //
 // RTG extension #2 makes discovered patterns persistent between executions.
 // The core stays storage-agnostic behind this interface: `store::PatternStore`
-// implements it on top of the embedded database, and `InMemoryRepository`
+// implements it as a durable partition table, and `InMemoryRepository`
 // backs tests and single-run benches.
 #pragma once
 
@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,7 +24,7 @@ class PatternRepository {
  public:
   virtual ~PatternRepository() = default;
 
-  /// All patterns known for `service`.
+  /// All patterns known for `service`, in pid order.
   virtual std::vector<Pattern> load_service(std::string_view service) = 0;
 
   /// All known service names (sorted).
@@ -109,9 +110,12 @@ class InMemoryRepository final : public PatternRepository {
 
  private:
   std::mutex mutex_;
-  // id -> pattern; service -> ids keeps load_service cheap.
+  // id -> pattern; service -> ids keeps load_service cheap. The id set
+  // makes load_service return pid order, the order PatternStore returns:
+  // the matcher credits a message that fits several patterns to the first
+  // one loaded, so both repositories must load alike to mine alike.
   std::map<std::string, Pattern> by_id_;
-  std::map<std::string, std::vector<std::string>, std::less<>> by_service_;
+  std::map<std::string, std::set<std::string>, std::less<>> by_service_;
 };
 
 /// Shared merge logic for upserts (used by both repository implementations).

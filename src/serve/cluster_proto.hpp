@@ -5,7 +5,7 @@
 // fixed magic + version header, then length-prefixed CRC-32-framed
 // records, all integers little-endian fixed-width:
 //
-//   stream := "SQRTGCLU" u32(version = 1) frame*
+//   stream := "SQRTGCLU" u32(version = 2) frame*
 //   frame  := u32(payload_len) u32(crc32(payload)) payload
 //   payload:= u8(type) body
 //
@@ -34,7 +34,9 @@
 namespace seqrtg::serve {
 
 inline constexpr std::string_view kClusterMagic = "SQRTGCLU";
-inline constexpr std::uint32_t kClusterProtoVersion = 1;
+/// Version 2: kWalGroup ops carry rows in the store's binary row codec
+/// (store format version 2), so a version 1 peer is refused at the header.
+inline constexpr std::uint32_t kClusterProtoVersion = 2;
 /// Hard cap on one frame's payload; a declared length above this is a
 /// protocol violation, not a large message.
 inline constexpr std::size_t kMaxClusterFramePayload = 16u << 20;

@@ -13,18 +13,12 @@
 #include "obs/metrics.hpp"
 #include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
-#include "util/json.hpp"
 
 namespace seqrtg::store {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-/// SELECT column order shared by every pattern query.
-constexpr std::string_view kPatternColumns =
-    "pid, service, ptext, tokens, token_count, complexity, match_count, "
-    "first_seen, last_matched";
 
 /// WAL op codes (one byte each inside a commit group).
 constexpr std::uint8_t kOpUpsert = 1;
@@ -41,13 +35,29 @@ constexpr std::string_view kSnapshotPrefix = "snapshot-";
 constexpr std::string_view kSnapshotSuffix = ".db";
 constexpr std::string_view kSpillPrefix = "spill-";
 constexpr std::string_view kSpillSuffix = ".sp";
-constexpr std::string_view kSpillMagic = "SQRTGSP1";
 
-/// Fixed per-row overhead charged by the partition-bytes estimator on top
-/// of the string payloads (column values, map/index nodes). The estimate
-/// only has to be consistent between the ledger and the audit recount —
-/// both use partition_bytes_locked — and monotone in real usage.
+/// File magics (see the store file framing in pattern_store.hpp), plus the
+/// leading bytes of the version 1 files they replace.
+constexpr std::string_view kSnapshotMagic = "SQRTGSNP";
+constexpr std::string_view kSpillMagic = "SQRTGSPL";
+constexpr std::string_view kOldSnapshotMagic = "seqrtgdb";
+constexpr std::string_view kOldSpillMagic = "SQRTGSP1";
+/// magic + u32(version) + u32(len) + u32(crc).
+constexpr std::size_t kFileHeaderSize = 8 + 12;
+
+/// Token flag bits of the row codec.
+constexpr std::uint8_t kTokenVariable = 1;
+constexpr std::uint8_t kTokenSpaceBefore = 2;
+/// Highest valid core::TokenType tag.
+constexpr std::uint8_t kMaxTokenType =
+    static_cast<std::uint8_t>(core::TokenType::Rest);
+
+/// Per-row overheads charged by the partition-bytes estimate on top of the
+/// string payloads (map nodes, vectors, the pid index entry). The estimate
+/// only has to be consistent between the running totals and the audit
+/// recount — both use row_bytes — and monotone in real usage.
 constexpr std::size_t kPatternRowOverheadBytes = 160;
+constexpr std::size_t kTokenOverheadBytes = 16;
 constexpr std::size_t kExampleRowOverheadBytes = 48;
 
 /// Store operation counters; same family as the in-memory repository,
@@ -55,7 +65,7 @@ constexpr std::size_t kExampleRowOverheadBytes = 48;
 obs::Counter& store_op(const char* op) {
   return obs::default_registry().counter(
       "seqrtg_repo_ops_total", "Pattern repository operations",
-      {{"backend", "sql"}, {"op", op}});
+      {{"backend", "store"}, {"op", op}});
 }
 
 obs::Counter& wal_counter(const char* name, const char* help) {
@@ -90,8 +100,8 @@ StoreMetrics& store_metrics() {
           "seqrtg_store_persist_seconds",
           "Latency of PatternStore::save / load / checkpoint / open"),
       wal_counter("seqrtg_store_corrupt_rows_total",
-                  "Pattern rows dropped because neither the JSON token list "
-                  "nor the display text parsed"),
+                  "Pattern rows dropped because their encoding did not "
+                  "decode"),
       wal_counter("seqrtg_store_wal_appends_total",
                   "Commit groups appended to the write-ahead log"),
       wal_counter("seqrtg_store_wal_bytes_total",
@@ -103,6 +113,147 @@ StoreMetrics& store_metrics() {
       wal_counter("seqrtg_store_wal_snapshots_total",
                   "Snapshot rotations completed by checkpoint()")};
   return m;
+}
+
+/// Resident-bytes estimate of one row (see the overhead constants).
+std::size_t row_bytes(std::string_view pid, const core::Pattern& p) {
+  std::size_t total = kPatternRowOverheadBytes + pid.size() + p.service.size();
+  for (const core::PatternToken& t : p.tokens) {
+    total += kTokenOverheadBytes + t.text.size() + t.name.size();
+  }
+  for (const std::string& e : p.examples) {
+    total += kExampleRowOverheadBytes + e.size();
+  }
+  return total;
+}
+
+/// Appends string(row): the row body with its u32 length prefix.
+void put_framed_row(std::string& out, const core::Pattern& p) {
+  const std::size_t at = out.size();
+  out.append(4, '\0');
+  encode_row(out, p);
+  std::string len;
+  wal_put_u32(len, static_cast<std::uint32_t>(out.size() - at - 4));
+  out.replace(at, 4, len);
+}
+
+/// rows := u32(n) string(row)* over a partition's rows, in pid order.
+template <typename Rows>
+std::string encode_rows(const Rows& rows) {
+  std::string out;
+  wal_put_u32(out, static_cast<std::uint32_t>(rows.size()));
+  for (const auto& [pid, p] : rows) put_framed_row(out, p);
+  return out;
+}
+
+/// Decodes a rows section into `out` (declared, rows, bad_rows). A
+/// partition's rows (`service` set) must all name that service; a row that
+/// does not is malformed. False when the framing itself is broken (a short
+/// read or trailing bytes).
+bool decode_rows(std::string_view bytes, DecodedRows* out,
+                 std::optional<std::string_view> service = std::nullopt) {
+  WalReader r{bytes};
+  out->declared = r.u32();
+  if (!r.ok) return false;
+  for (std::uint32_t i = 0; i < out->declared; ++i) {
+    const std::string_view body = r.string();
+    if (!r.ok) return false;
+    core::Pattern p;
+    if (decode_row(body, &p) && (!service || p.service == *service)) {
+      out->rows.push_back(std::move(p));
+    } else {
+      ++out->bad_rows;
+    }
+  }
+  return r.at_end();
+}
+
+/// Verifies a store file's framing and yields its payload.
+FileError unframe_file(std::string_view bytes, std::string_view magic,
+                       std::string_view old_magic, std::string_view* payload) {
+  if (bytes.substr(0, old_magic.size()) == old_magic) {
+    return FileError::kOldFormat;
+  }
+  if (bytes.substr(0, magic.size()) != magic.substr(0, bytes.size())) {
+    return FileError::kBadMagic;
+  }
+  if (bytes.size() < kFileHeaderSize) return FileError::kTruncated;
+  WalReader header{bytes.substr(magic.size())};
+  const std::uint32_t version = header.u32();
+  const std::uint32_t len = header.u32();
+  const std::uint32_t crc = header.u32();
+  if (version != kStoreFormatVersion) return FileError::kBadVersion;
+  const std::string_view body = bytes.substr(kFileHeaderSize);
+  if (body.size() < len) return FileError::kTruncated;
+  if (body.size() > len) return FileError::kBadPayload;
+  if (crc32(body) != crc) return FileError::kBadChecksum;
+  *payload = body;
+  return FileError::kNone;
+}
+
+/// Splits a spill file into its service name and raw rows section.
+FileError parse_spill_file(std::string_view bytes, std::string_view* service,
+                           std::string_view* rows) {
+  std::string_view payload;
+  const FileError e =
+      unframe_file(bytes, kSpillMagic, kOldSpillMagic, &payload);
+  if (e != FileError::kNone) return e;
+  WalReader r{payload};
+  *service = r.string();
+  if (!r.ok) return FileError::kBadPayload;
+  *rows = payload.substr(r.pos);
+  return FileError::kNone;
+}
+
+bool read_file(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  out->clear();
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
+/// fsyncs a directory so a completed rename survives a crash.
+bool fsync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+/// Writes the store file `magic` + header + `payload` to `path` through
+/// `path.tmp` + rename. With `durable` the temp file is fsynced before the
+/// rename and its directory after it.
+bool write_store_file(const std::string& path, std::string_view magic,
+                      std::string_view payload, bool durable) {
+  std::string header(magic);
+  wal_put_u32(header, kStoreFormatVersion);
+  wal_put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  wal_put_u32(header, crc32(payload));
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
+  if (f == nullptr) return false;
+  bool ok =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
+  if (ok && durable) {
+    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  }
+  ok = (std::fclose(f) == 0) && ok;
+  if (!ok || std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return false;
+  }
+  if (durable) {
+    const fs::path parent = fs::path(path).parent_path();
+    return fsync_dir(parent.empty() ? "." : parent.string());
+  }
+  return true;
 }
 
 std::string snapshot_name(std::uint64_t seq) {
@@ -130,61 +281,19 @@ bool parse_snapshot_name(std::string_view name, std::uint64_t* seq) {
   return true;
 }
 
-/// fsyncs an existing file (the freshly written snapshot temp) by path.
-bool fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-/// fsyncs a directory so a completed rename survives a crash.
-bool fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
 std::int64_t file_mtime_unix(const fs::path& p) {
   struct stat st;
   if (::stat(p.c_str(), &st) != 0) return 0;
   return static_cast<std::int64_t>(st.st_mtime);
 }
 
-void encode_upsert(std::string& ops, const core::Pattern& p) {
-  ops.push_back(static_cast<char>(kOpUpsert));
-  wal_put_string(ops, p.service);
-  wal_put_string(ops, pattern_tokens_to_json(p.tokens));
-  wal_put_u64(ops, p.stats.match_count);
-  wal_put_i64(ops, p.stats.first_seen);
-  wal_put_i64(ops, p.stats.last_matched);
-  wal_put_u32(ops, static_cast<std::uint32_t>(p.examples.size()));
-  for (const std::string& e : p.examples) wal_put_string(ops, e);
-}
-
-void encode_record_match(std::string& ops, const std::string& id,
-                         std::uint64_t count, std::int64_t when) {
-  ops.push_back(static_cast<char>(kOpRecordMatch));
-  wal_put_string(ops, id);
-  wal_put_u64(ops, count);
-  wal_put_i64(ops, when);
-}
-
-void encode_delete(std::string& ops, const std::string& id) {
-  ops.push_back(static_cast<char>(kOpDelete));
-  wal_put_string(ops, id);
-}
-
-void encode_residency(std::string& ops, std::uint8_t op,
-                      std::string_view service, std::uint32_t n_patterns,
-                      std::string_view rows_blob) {
-  ops.push_back(static_cast<char>(op));
+/// kOpSpill / kOpReload: the service and its full rows section.
+std::string encode_residency(std::uint8_t op, std::string_view service,
+                             std::string_view rows) {
+  std::string ops(1, static_cast<char>(op));
   wal_put_string(ops, service);
-  wal_put_u32(ops, n_patterns);
-  wal_put_string(ops, rows_blob);
+  wal_put_string(ops, rows);
+  return ops;
 }
 
 /// FNV-1a 64 over the service name; two independent seeds give the
@@ -215,159 +324,153 @@ bool is_spill_file_name(std::string_view name) {
          name.substr(name.size() - kSpillSuffix.size()) == kSpillSuffix;
 }
 
-/// Parsed spill file: "SQRTGSP1" u32(len) u32(crc32(payload)) payload,
-/// payload := string(service) u32(n_patterns) string(rows_blob).
-struct SpillFile {
-  bool ok = false;
-  std::string service;
-  std::uint32_t n_patterns = 0;
-  std::string rows_blob;
-};
-
-SpillFile read_spill_file(const std::string& path) {
-  SpillFile out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  std::string data;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  if (data.size() < kSpillMagic.size() + 8 ||
-      std::string_view(data).substr(0, kSpillMagic.size()) != kSpillMagic) {
-    return out;
-  }
-  WalReader header{std::string_view(data).substr(kSpillMagic.size())};
-  const std::uint32_t len = header.u32();
-  const std::uint32_t crc = header.u32();
-  if (!header.ok || header.data.size() - header.pos != len) return out;
-  const std::string_view payload = header.data.substr(header.pos);
-  if (crc32(payload) != crc) return out;
-  WalReader r{payload};
-  out.service = std::string(r.string());
-  out.n_patterns = r.u32();
-  out.rows_blob = std::string(r.string());
-  out.ok = r.ok && r.at_end();
-  return out;
-}
-
-/// Decodes a rows blob (concatenated kOpUpsert-encoded patterns) into
-/// Pattern values without touching any database state.
-bool decode_upsert_ops(std::string_view blob,
-                       std::vector<core::Pattern>* out) {
-  WalReader r{blob};
-  while (r.ok && !r.at_end()) {
-    if (r.u8() != kOpUpsert) return false;
-    core::Pattern p;
-    p.service = std::string(r.string());
-    const std::string_view tokens_json = r.string();
-    p.stats.match_count = r.u64();
-    p.stats.first_seen = r.i64();
-    p.stats.last_matched = r.i64();
-    const std::uint32_t n_examples = r.u32();
-    for (std::uint32_t i = 0; r.ok && i < n_examples; ++i) {
-      p.examples.emplace_back(r.string());
-    }
-    if (!r.ok) return false;
-    auto tokens = pattern_tokens_from_json(tokens_json);
-    if (!tokens.has_value()) return false;
-    p.tokens = std::move(*tokens);
-    out->push_back(std::move(p));
-  }
-  return r.ok;
-}
-
 }  // namespace
 
-std::string pattern_tokens_to_json(
-    const std::vector<core::PatternToken>& tokens) {
-  util::JsonArray arr;
-  for (const core::PatternToken& t : tokens) {
-    util::JsonObject obj;
-    obj["v"] = util::Json(t.is_variable);
-    obj["s"] = util::Json(t.is_space_before);
-    if (t.is_variable) {
-      obj["t"] = util::Json(core::token_type_tag(t.var_type));
-      obj["n"] = util::Json(t.name);
-    } else {
-      obj["x"] = util::Json(t.text);
-    }
-    arr.emplace_back(std::move(obj));
+void encode_row(std::string& out, const core::Pattern& p) {
+  wal_put_string(out, p.service);
+  wal_put_u32(out, static_cast<std::uint32_t>(p.tokens.size()));
+  for (const core::PatternToken& t : p.tokens) {
+    out.push_back(static_cast<char>((t.is_variable ? kTokenVariable : 0) |
+                                    (t.is_space_before ? kTokenSpaceBefore
+                                                       : 0)));
+    out.push_back(static_cast<char>(t.var_type));
+    wal_put_string(out, t.text);
+    wal_put_string(out, t.name);
   }
-  return util::Json(std::move(arr)).dump();
+  wal_put_u64(out, p.stats.match_count);
+  wal_put_i64(out, p.stats.first_seen);
+  wal_put_i64(out, p.stats.last_matched);
+  wal_put_u32(out, static_cast<std::uint32_t>(p.examples.size()));
+  for (const std::string& e : p.examples) wal_put_string(out, e);
 }
 
-std::optional<std::vector<core::PatternToken>> pattern_tokens_from_json(
-    std::string_view json) {
-  const util::JsonParseResult parsed = util::json_parse(json);
-  if (!parsed.ok() || !parsed.value.is_array()) return std::nullopt;
-  std::vector<core::PatternToken> out;
-  for (const util::Json& item : parsed.value.as_array()) {
-    if (!item.is_object()) return std::nullopt;
-    core::PatternToken t;
-    const util::Json* v = item.find("v");
-    const util::Json* s = item.find("s");
-    if (v == nullptr || !v->is_bool() || s == nullptr || !s->is_bool()) {
-      return std::nullopt;
-    }
-    t.is_variable = v->as_bool();
-    t.is_space_before = s->as_bool();
-    if (t.is_variable) {
-      t.var_type = core::token_type_from_tag(item.get_string("t", "string"));
-      if (t.var_type == core::TokenType::Literal) {
-        t.var_type = core::TokenType::String;
-      }
-      t.name = item.get_string("n", "");
-    } else {
-      const util::Json* x = item.find("x");
-      if (x == nullptr || !x->is_string()) return std::nullopt;
-      t.text = x->as_string();
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-PatternStore::PatternStore() { create_schema(); }
-
-void PatternStore::create_schema() {
-  db_.exec(
-      "CREATE TABLE patterns (pid TEXT PRIMARY KEY, service TEXT, "
-      "ptext TEXT, tokens TEXT, token_count INTEGER, complexity REAL, "
-      "match_count INTEGER, first_seen INTEGER, last_matched INTEGER)");
-  db_.exec("CREATE INDEX ON patterns (service)");
-  db_.exec(
-      "CREATE TABLE examples (pid TEXT, seq INTEGER, message TEXT)");
-  db_.exec("CREATE INDEX ON examples (pid)");
-}
-
-std::optional<core::Pattern> PatternStore::row_to_pattern(const Row& row) {
+bool decode_row(std::string_view bytes, core::Pattern* out) {
+  WalReader r{bytes};
   core::Pattern p;
-  p.service = row[1].as_text();
-  if (auto tokens = pattern_tokens_from_json(row[3].as_text())) {
-    p.tokens = std::move(*tokens);
-  } else if (auto parsed = core::parse_pattern_text(row[2].as_text())) {
-    // Degraded fallback: rebuild from the display text (types become
-    // String but matching still works).
-    p.tokens = std::move(*parsed);
-  } else {
-    store_metrics().corrupt_rows.inc();
-    return std::nullopt;
+  p.service = std::string(r.string());
+  const std::uint32_t n_tokens = r.u32();
+  // Exact capacity (rows live long), bounded by the bytes a forged count
+  // could actually describe.
+  p.tokens.reserve(std::min<std::size_t>(n_tokens, bytes.size() / 10));
+  for (std::uint32_t i = 0; r.ok && i < n_tokens; ++i) {
+    const std::uint8_t flags = r.u8();
+    const std::uint8_t type = r.u8();
+    if (flags > (kTokenVariable | kTokenSpaceBefore) || type > kMaxTokenType) {
+      return false;
+    }
+    core::PatternToken t;
+    t.is_variable = (flags & kTokenVariable) != 0;
+    t.is_space_before = (flags & kTokenSpaceBefore) != 0;
+    t.var_type = static_cast<core::TokenType>(type);
+    t.text = std::string(r.string());
+    t.name = std::string(r.string());
+    p.tokens.push_back(std::move(t));
   }
-  p.stats.match_count = static_cast<std::uint64_t>(row[6].as_int());
-  p.stats.first_seen = row[7].as_int();
-  p.stats.last_matched = row[8].as_int();
-  p.examples = load_examples(row[0].as_text());
-  return p;
+  p.stats.match_count = r.u64();
+  p.stats.first_seen = r.i64();
+  p.stats.last_matched = r.i64();
+  const std::uint32_t n_examples = r.u32();
+  p.examples.reserve(std::min<std::size_t>(n_examples, bytes.size() / 4));
+  for (std::uint32_t i = 0; r.ok && i < n_examples; ++i) {
+    p.examples.emplace_back(r.string());
+  }
+  if (!r.ok || !r.at_end()) return false;
+  *out = std::move(p);
+  return true;
 }
 
-std::vector<std::string> PatternStore::load_examples(const std::string& pid) {
-  QueryResult r = db_.exec(
-      "SELECT message FROM examples WHERE pid = ? ORDER BY seq", {pid});
-  std::vector<std::string> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) out.push_back(row[0].as_text());
+const char* file_error_name(FileError e) {
+  static_assert(kStoreFormatVersion == 2, "update the kOldFormat message");
+  switch (e) {
+    case FileError::kNone: return "ok";
+    case FileError::kTruncated: return "truncated";
+    case FileError::kBadMagic: return "not a store file";
+    case FileError::kOldFormat:
+      return "written in store format version 1 (seqrtgdb text snapshot, "
+             "JSON token rows), which this build does not read; it reads "
+             "format version 2 only";
+    case FileError::kBadVersion: return "unsupported format version";
+    case FileError::kBadChecksum: return "checksum mismatch";
+    case FileError::kBadPayload: return "malformed payload";
+  }
+  return "?";
+}
+
+DecodedRows decode_snapshot(std::string_view bytes) {
+  DecodedRows out;
+  std::string_view payload;
+  out.error = unframe_file(bytes, kSnapshotMagic, kOldSnapshotMagic, &payload);
+  if (out.error == FileError::kNone && !decode_rows(payload, &out)) {
+    out = DecodedRows{};
+    out.error = FileError::kBadPayload;
+  }
   return out;
+}
+
+DecodedRows decode_spill_file(std::string_view bytes) {
+  DecodedRows out;
+  std::string_view service, rows;
+  out.error = parse_spill_file(bytes, &service, &rows);
+  if (out.error != FileError::kNone) return out;
+  if (!decode_rows(rows, &out, service)) {
+    out = DecodedRows{};
+    out.error = FileError::kBadPayload;
+    return out;
+  }
+  out.service = std::string(service);
+  return out;
+}
+
+void PatternStore::apply_upsert(core::Pattern p) {
+  std::string pid = p.id();
+  const auto idx = pid_index_.find(pid);
+  if (idx == pid_index_.end()) {
+    const auto part = partitions_.try_emplace(p.service).first;
+    const auto row =
+        part->second.rows.emplace(std::move(pid), std::move(p)).first;
+    part->second.bytes += row_bytes(row->first, row->second);
+    pid_index_.emplace(row->first, part);
+    return;
+  }
+  Partition& part = idx->second->second;
+  core::Pattern& row = part.rows.find(pid)->second;
+  part.bytes -= row_bytes(pid, row);
+  core::merge_pattern_into(row, p, example_cap());
+  part.bytes += row_bytes(pid, row);
+}
+
+const std::string* PatternStore::apply_record_match(const std::string& id,
+                                                    std::uint64_t count,
+                                                    std::int64_t when) {
+  const auto idx = pid_index_.find(id);
+  if (idx == pid_index_.end()) return nullptr;
+  core::Pattern& row = idx->second->second.rows.find(id)->second;
+  row.stats.match_count += count;
+  row.stats.last_matched = std::max(row.stats.last_matched, when);
+  return &idx->second->first;
+}
+
+std::optional<std::string> PatternStore::apply_delete(const std::string& id) {
+  const auto idx = pid_index_.find(id);
+  if (idx == pid_index_.end()) return std::nullopt;
+  const PartitionMap::iterator part = idx->second;
+  std::string service = part->first;
+  const auto row = part->second.rows.find(id);
+  part->second.bytes -= row_bytes(id, row->second);
+  pid_index_.erase(idx);
+  part->second.rows.erase(row);
+  if (part->second.rows.empty()) partitions_.erase(part);
+  return service;
+}
+
+void PatternStore::insert_rows(std::vector<core::Pattern> rows) {
+  for (core::Pattern& p : rows) apply_upsert(std::move(p));
+}
+
+void PatternStore::clear_locked() {
+  pid_index_.clear();  // first: its keys view the rows' keys
+  partitions_.clear();
+  spilled_.clear();
 }
 
 std::vector<core::Pattern> PatternStore::load_service(
@@ -377,14 +480,11 @@ std::vector<core::Pattern> PatternStore::load_service(
   // Transparent reload: a spilled partition comes back through its spill
   // file + a kOpReload group before the caller sees any rows.
   ensure_resident_locked(service);
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE service = ? "
-                               "ORDER BY pid",
-                           {Value(service)});
   std::vector<core::Pattern> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) {
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
+  const auto part = partitions_.find(service);
+  if (part != partitions_.end()) {
+    out.reserve(part->second.rows.size());
+    for (const auto& [pid, p] : part->second.rows) out.push_back(p);
   }
   refresh_partition_locked(service);
   return out;
@@ -392,107 +492,17 @@ std::vector<core::Pattern> PatternStore::load_service(
 
 std::vector<std::string> PatternStore::services() {
   std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
+  return services_locked();
+}
+
+std::vector<std::string> PatternStore::services_locked() const {
+  // Spilled partitions are still part of the logical store (the two maps
+  // are disjoint).
   std::vector<std::string> out;
-  for (const Row& row : r.rows) {
-    if (out.empty() || out.back() != row[0].as_text()) {
-      out.push_back(row[0].as_text());
-    }
-  }
-  // Spilled partitions are still part of the logical store.
-  if (!spilled_.empty()) {
-    for (const auto& [svc, info] : spilled_) out.push_back(svc);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
+  for (const auto& [svc, part] : partitions_) out.push_back(svc);
+  for (const auto& [svc, patterns] : spilled_) out.push_back(svc);
+  std::sort(out.begin(), out.end());
   return out;
-}
-
-void PatternStore::apply_upsert(const core::Pattern& p) {
-  const std::string pid = p.id();
-  QueryResult existing = db_.exec(
-      "SELECT match_count, first_seen, last_matched, tokens FROM patterns "
-      "WHERE pid = ?",
-      {pid});
-  if (existing.rows.empty()) {
-    db_.exec(
-        "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        {Value(pid), Value(p.service), Value(p.text()),
-         Value(pattern_tokens_to_json(p.tokens)),
-         Value(static_cast<std::int64_t>(p.token_count())),
-         Value(p.complexity()),
-         Value(static_cast<std::int64_t>(p.stats.match_count)),
-         Value(p.stats.first_seen), Value(p.stats.last_matched)});
-    std::int64_t seq = 0;
-    for (const std::string& e : p.examples) {
-      db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
-               {Value(pid), Value(seq++), Value(e)});
-    }
-    return;
-  }
-  const Row& row = existing.rows.front();
-  const std::int64_t match_count =
-      row[0].as_int() + static_cast<std::int64_t>(p.stats.match_count);
-  const std::int64_t first_seen =
-      (row[1].as_int() == 0 ||
-       (p.stats.first_seen != 0 && p.stats.first_seen < row[1].as_int()))
-          ? p.stats.first_seen
-          : row[1].as_int();
-  const std::int64_t last_matched =
-      std::max(row[2].as_int(), p.stats.last_matched);
-  // Same text, different variable types (see widen_pattern_tokens): widen
-  // the stored token list so the pattern matches the union. The stats and
-  // tokens land in one UPDATE — one SELECT + one UPDATE per merge, not the
-  // four round trips this used to take.
-  std::string tokens_json = row[3].as_text();
-  if (auto tokens = pattern_tokens_from_json(tokens_json)) {
-    if (core::widen_pattern_tokens(*tokens, p.tokens)) {
-      tokens_json = pattern_tokens_to_json(*tokens);
-    }
-  }
-  db_.exec(
-      "UPDATE patterns SET match_count = ?, first_seen = ?, "
-      "last_matched = ?, tokens = ? WHERE pid = ?",
-      {Value(match_count), Value(first_seen), Value(last_matched),
-       Value(tokens_json), Value(pid)});
-  // Merge examples up to the configured cap (see
-  // PatternRepository::set_example_cap — must agree with the in-memory
-  // backend's merge_pattern_into cap or the differential oracle diverges).
-  std::vector<std::string> current = load_examples(pid);
-  std::int64_t seq = static_cast<std::int64_t>(current.size());
-  for (const std::string& e : p.examples) {
-    if (current.size() >= example_cap()) break;
-    if (std::find(current.begin(), current.end(), e) == current.end()) {
-      db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
-               {Value(pid), Value(seq++), Value(e)});
-      current.push_back(e);
-    }
-  }
-}
-
-std::optional<std::string> PatternStore::apply_record_match(
-    const std::string& id, std::uint64_t count, std::int64_t when) {
-  QueryResult existing = db_.exec(
-      "SELECT match_count, last_matched, service FROM patterns WHERE pid = ?",
-      {id});
-  if (existing.rows.empty()) return std::nullopt;
-  const std::int64_t match_count =
-      existing.rows[0][0].as_int() + static_cast<std::int64_t>(count);
-  const std::int64_t last_matched =
-      std::max(existing.rows[0][1].as_int(), when);
-  db_.exec(
-      "UPDATE patterns SET match_count = ?, last_matched = ? WHERE pid = ?",
-      {Value(match_count), Value(last_matched), Value(id)});
-  return existing.rows[0][2].as_text();
-}
-
-std::optional<std::string> PatternStore::apply_delete(const std::string& id) {
-  QueryResult existing =
-      db_.exec("SELECT service FROM patterns WHERE pid = ?", {id});
-  if (existing.rows.empty()) return std::nullopt;
-  db_.exec("DELETE FROM patterns WHERE pid = ?", {id});
-  db_.exec("DELETE FROM examples WHERE pid = ?", {id});
-  return existing.rows[0][0].as_text();
 }
 
 void PatternStore::log_ops(std::string ops) {
@@ -535,8 +545,8 @@ void PatternStore::upsert_pattern(const core::Pattern& p) {
   ensure_resident_locked(p.service);
   apply_upsert(p);
   if (wal_.is_open()) {
-    std::string ops;
-    encode_upsert(ops, p);
+    std::string ops(1, static_cast<char>(kOpUpsert));
+    put_framed_row(ops, p);
     log_ops(std::move(ops));
     note_batch_service_locked(p.service);
   }
@@ -549,19 +559,18 @@ void PatternStore::record_match(const std::string& id, std::uint64_t count,
   std::lock_guard lock(mutex_);
   // Resident rows only: the engine pins the service around load + stats
   // update, so the row is here by contract. A spilled row is a caller bug
-  // and drops the count, exactly like the pre-governance "unknown id"
-  // case below.
-  const std::optional<std::string> service =
-      apply_record_match(id, count, when);
-  if (!service.has_value()) return;
+  // and drops the count, exactly like the "unknown id" case.
+  const std::string* service = apply_record_match(id, count, when);
+  if (service == nullptr) return;
   if (wal_.is_open()) {
-    std::string ops;
-    encode_record_match(ops, id, count, when);
+    std::string ops(1, static_cast<char>(kOpRecordMatch));
+    wal_put_string(ops, id);
+    wal_put_u64(ops, count);
+    wal_put_i64(ops, when);
     log_ops(std::move(ops));
     note_batch_service_locked(*service);
   }
-  // The bytes estimator is count-independent, so no ledger refresh here —
-  // keeping the hot path at one extra map lookup.
+  // The bytes estimate is count-independent, so no ledger refresh here.
 }
 
 bool PatternStore::delete_pattern(const std::string& id) {
@@ -570,8 +579,8 @@ bool PatternStore::delete_pattern(const std::string& id) {
   const std::optional<std::string> service = apply_delete(id);
   if (!service.has_value()) return false;
   if (wal_.is_open()) {
-    std::string ops;
-    encode_delete(ops, id);
+    std::string ops(1, static_cast<char>(kOpDelete));
+    wal_put_string(ops, id);
     log_ops(std::move(ops));
     note_batch_service_locked(*service);
   }
@@ -603,94 +612,99 @@ void PatternStore::abort_batch() {
 
 std::optional<core::Pattern> PatternStore::find(const std::string& id) {
   std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE pid = ?",
-                           {id});
-  if (r.rows.empty()) return std::nullopt;
-  return row_to_pattern(r.rows.front());
+  const auto idx = pid_index_.find(id);
+  if (idx == pid_index_.end()) return std::nullopt;
+  return idx->second->second.rows.find(id)->second;
 }
 
 std::size_t PatternStore::pattern_count() {
   std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT pid FROM patterns");
-  std::size_t count = r.rows.size();
-  for (const auto& [svc, info] : spilled_) count += info.patterns;
+  std::size_t count = pid_index_.size();
+  for (const auto& [svc, patterns] : spilled_) count += patterns;
   return count;
 }
 
 std::vector<core::Pattern> PatternStore::export_patterns(
     const ExportFilter& filter) {
   std::lock_guard lock(mutex_);
-  QueryResult r;
-  if (filter.service.empty()) {
-    r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                 " FROM patterns ORDER BY match_count DESC");
-  } else {
-    r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                     " FROM patterns WHERE service = ? "
-                     "ORDER BY match_count DESC",
-                 {Value(filter.service)});
-  }
   std::vector<core::Pattern> out;
-  for (const Row& row : r.rows) {
-    if (static_cast<std::uint64_t>(row[6].as_int()) <
-        filter.min_match_count) {
+  auto keep = [&](const core::Pattern& p) {
+    return p.stats.match_count >= filter.min_match_count &&
+           p.complexity() < filter.max_complexity;
+  };
+  // Services in name order, each partition in pid order; a spilled
+  // partition is read through its spill file (no reload — export must not
+  // change residency).
+  for (const std::string& svc : services_locked()) {
+    if (!filter.service.empty() && svc != filter.service) continue;
+    const auto part = partitions_.find(svc);
+    if (part != partitions_.end()) {
+      for (const auto& [pid, p] : part->second.rows) {
+        if (keep(p)) out.push_back(p);
+      }
       continue;
     }
-    if (row[5].as_real() >= filter.max_complexity) continue;
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
-  }
-  // Read-through over spilled partitions: decode the spill files directly
-  // (no reload — export must not change residency), then restore the
-  // match-count ordering across the combined set.
-  bool added_spilled = false;
-  for (const auto& [svc, info] : spilled_) {
-    if (!filter.service.empty() && svc != filter.service) continue;
-    SpillFile file = read_spill_file(spill_file_path(svc));
-    std::vector<core::Pattern> rows;
-    if (!file.ok || !decode_upsert_ops(file.rows_blob, &rows)) continue;
-    for (core::Pattern& p : rows) {
-      if (p.stats.match_count < filter.min_match_count) continue;
-      if (p.complexity() >= filter.max_complexity) continue;
-      out.push_back(std::move(p));
-      added_spilled = true;
+    std::string bytes;
+    if (!read_file(spill_file_path(svc), &bytes)) continue;
+    DecodedRows file = decode_spill_file(bytes);
+    if (file.error != FileError::kNone) continue;
+    for (core::Pattern& p : file.rows) {
+      if (keep(p)) out.push_back(std::move(p));
     }
   }
-  if (added_spilled) {
-    std::stable_sort(out.begin(), out.end(),
-                     [](const core::Pattern& a, const core::Pattern& b) {
-                       return a.stats.match_count > b.stats.match_count;
-                     });
-  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const core::Pattern& a, const core::Pattern& b) {
+                     return a.stats.match_count > b.stats.match_count;
+                   });
   return out;
+}
+
+std::string PatternStore::last_error() {
+  std::lock_guard lock(mutex_);
+  return last_error_;
 }
 
 bool PatternStore::save(const std::string& path) {
   if (obs::telemetry_enabled()) store_metrics().save.inc();
   obs::StageTimer timer(store_metrics().persist_seconds);
   std::lock_guard lock(mutex_);
-  return db_.save(path);
+  return write_store_file(path, kSnapshotMagic, snapshot_rows_locked(),
+                          /*durable=*/false);
 }
 
 bool PatternStore::load(const std::string& path) {
   if (obs::telemetry_enabled()) store_metrics().load.inc();
   obs::StageTimer timer(store_metrics().persist_seconds);
   std::lock_guard lock(mutex_);
-  spilled_.clear();
-  if (!db_.load(path)) {
-    db_ = Database();
-    create_schema();
-    return false;
+  clear_locked();
+  last_error_.clear();
+  return load_snapshot_locked(path) == FileError::kNone;
+}
+
+std::string PatternStore::snapshot_rows_locked() const {
+  std::string rows;
+  wal_put_u32(rows, static_cast<std::uint32_t>(pid_index_.size()));
+  for (const auto& [svc, part] : partitions_) {
+    for (const auto& [pid, p] : part.rows) put_framed_row(rows, p);
   }
-  if (!db_.has_table("patterns") || !db_.has_table("examples")) {
-    db_ = Database();
-    create_schema();
-    return false;
+  return rows;
+}
+
+FileError PatternStore::load_snapshot_locked(const std::string& path) {
+  std::string bytes;
+  if (!read_file(path, &bytes)) {
+    last_error_ = path + ": cannot read";
+    return FileError::kTruncated;
   }
-  // Recreate the secondary indexes (snapshots do not persist them).
-  db_.exec("CREATE INDEX ON patterns (service)");
-  db_.exec("CREATE INDEX ON examples (pid)");
-  return true;
+  DecodedRows file = decode_snapshot(bytes);
+  if (file.error != FileError::kNone) {
+    last_error_ = path + ": " + file_error_name(file.error);
+    return file.error;
+  }
+  std::string().swap(bytes);  // the rows own their data; free the image
+  if (file.bad_rows != 0) store_metrics().corrupt_rows.inc(file.bad_rows);
+  insert_rows(std::move(file.rows));
+  return FileError::kNone;
 }
 
 void PatternStore::replay_ops(std::string_view ops) {
@@ -698,26 +712,16 @@ void PatternStore::replay_ops(std::string_view ops) {
   while (r.ok && !r.at_end()) {
     const std::uint8_t op = r.u8();
     if (op == kOpUpsert) {
-      core::Pattern p;
-      p.service = std::string(r.string());
-      const std::string_view tokens_json = r.string();
-      p.stats.match_count = r.u64();
-      p.stats.first_seen = r.i64();
-      p.stats.last_matched = r.i64();
-      const std::uint32_t n_examples = r.u32();
-      for (std::uint32_t i = 0; r.ok && i < n_examples; ++i) {
-        p.examples.emplace_back(r.string());
-      }
+      const std::string_view body = r.string();
       if (!r.ok) break;
-      auto tokens = pattern_tokens_from_json(tokens_json);
-      if (!tokens.has_value()) {
-        // CRC passed but the op is logically malformed (should never
+      core::Pattern p;
+      if (!decode_row(body, &p)) {
+        // CRC passed but the row is logically malformed (should never
         // happen): skip it, count it, keep replaying the group.
         store_metrics().corrupt_rows.inc();
         continue;
       }
-      p.tokens = std::move(*tokens);
-      apply_upsert(p);
+      apply_upsert(std::move(p));
     } else if (op == kOpRecordMatch) {
       const std::string id(r.string());
       const std::uint64_t count = r.u64();
@@ -729,14 +733,13 @@ void PatternStore::replay_ops(std::string_view ops) {
       if (!r.ok) break;
       apply_delete(id);
     } else if (op == kOpSpill || op == kOpReload) {
-      const std::string service(r.string());
-      const std::uint32_t n_patterns = r.u32();
-      const std::string blob(r.string());
+      const std::string_view service = r.string();
+      const std::string_view rows = r.string();
       if (!r.ok) break;
       if (op == kOpSpill) {
-        apply_spill(service, n_patterns, blob);
+        apply_spill(service, rows);
       } else {
-        apply_reload(service, blob);
+        apply_reload(service, rows);
       }
     } else {
       break;  // unknown op: drop the rest of the group
@@ -764,22 +767,34 @@ bool PatternStore::open(const std::string& dir) {
   if (obs::telemetry_enabled()) store_metrics().load.inc();
   obs::StageTimer timer(store_metrics().persist_seconds);
   std::lock_guard lock(mutex_);
-  wal_.close();
-  dir_.clear();
-  db_ = Database();
-  create_schema();
-  snapshot_seq_ = 0;
-  spilled_.clear();
+  auto reset = [&] {
+    wal_.close();
+    dir_.clear();
+    clear_locked();
+    snapshot_seq_ = 0;
+  };
+  reset();
+  last_error_.clear();
   batch_ops_.clear();
   batch_services_.clear();
+  // Every failure below leaves the store empty and non-durable.
+  auto fail = [&](std::string error) {
+    obs::logev(obs::LogLevel::kError, "store", "open_failed",
+               {{"dir", dir}, {"error", error}});
+    last_error_ = std::move(error);
+    reset();
+    return false;
+  };
 
   std::error_code ec;
   fs::create_directories(dir, ec);
-  if (ec) return false;
+  if (ec) return fail(dir + ": " + ec.message());
 
   // Newest valid snapshot wins; older generations are the fallback when
-  // the newest fails to parse (disk rot). ".tmp" leftovers of a checkpoint
-  // that died before its rename are ignored entirely.
+  // the newest fails to decode (disk rot). ".tmp" leftovers of a
+  // checkpoint that died before its rename are ignored entirely. An
+  // old-format snapshot is never skipped over: the directory predates
+  // this format and refusing it is the only safe answer.
   std::vector<std::uint64_t> seqs;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     std::uint64_t seq = 0;
@@ -789,26 +804,25 @@ bool PatternStore::open(const std::string& dir) {
   }
   std::sort(seqs.rbegin(), seqs.rend());
   for (const std::uint64_t seq : seqs) {
-    const std::string path = (fs::path(dir) / snapshot_name(seq)).string();
-    if (db_.load(path) && db_.has_table("patterns") &&
-        db_.has_table("examples")) {
-      db_.exec("CREATE INDEX ON patterns (service)");
-      db_.exec("CREATE INDEX ON examples (pid)");
+    const FileError error =
+        load_snapshot_locked((fs::path(dir) / snapshot_name(seq)).string());
+    if (error == FileError::kNone) {
       snapshot_seq_ = seq;
       break;
     }
-    db_ = Database();
-    create_schema();
+    if (error == FileError::kOldFormat) return fail(last_error_);
+    obs::logev(obs::LogLevel::kError, "store", "snapshot_corrupt",
+               {{"error", last_error_}});
   }
+  last_error_.clear();  // a rotted generation an older one covers is fine
 
   // Replay the WAL tail past the snapshot watermark, then keep the log
   // open for appending (open() truncates any torn final record).
   Wal::ReplayResult recovered;
   const std::string wal_path = (fs::path(dir) / kWalFile).string();
   if (!wal_.open(wal_path, &recovered)) {
-    db_ = Database();
-    create_schema();
-    return false;
+    return fail(recovered.error.empty() ? wal_path + ": cannot open"
+                                        : recovered.error);
   }
   wal_.ensure_next_seq(snapshot_seq_ + 1);
   // Residency ops replayed below rewrite spill files, so the directory
@@ -824,7 +838,7 @@ bool PatternStore::open(const std::string& dir) {
     store_metrics().wal_replayed.inc(replayed);
     if (recovered.truncated) store_metrics().wal_truncations.inc();
   }
-  reconcile_spill_files_locked();
+  if (!reconcile_spill_files_locked()) return fail(last_error_);
   return true;
 }
 
@@ -837,12 +851,10 @@ bool PatternStore::checkpoint() {
 
   const std::uint64_t seq = wal_.last_seq();
   const fs::path dir(dir_);
-  const std::string final_path = (dir / snapshot_name(seq)).string();
-  const std::string tmp_path = final_path + ".tmp";
-  if (!db_.save(tmp_path)) return false;
-  if (!fsync_path(tmp_path)) return false;
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) return false;
-  if (!fsync_dir(dir_)) return false;
+  if (!write_store_file((dir / snapshot_name(seq)).string(), kSnapshotMagic,
+                        snapshot_rows_locked(), /*durable=*/true)) {
+    return false;
+  }
   // The snapshot is durable; the log can drop everything at or below its
   // watermark. A crash right here leaves stale records whose seq <= the
   // watermark — recovery skips them.
@@ -873,126 +885,58 @@ std::string PatternStore::spill_file_path(std::string_view service) const {
 }
 
 bool PatternStore::write_spill_file_locked(std::string_view service,
-                                           std::uint32_t n_patterns,
-                                           std::string_view rows_blob,
+                                           std::string_view rows,
                                            bool fsync) {
   std::string payload;
   wal_put_string(payload, service);
-  wal_put_u32(payload, n_patterns);
-  wal_put_string(payload, rows_blob);
-  std::string data(kSpillMagic);
-  wal_put_u32(data, static_cast<std::uint32_t>(payload.size()));
-  wal_put_u32(data, crc32(payload));
-  data.append(payload);
+  payload.append(rows);
 
-  const std::string final_path = spill_file_path(service);
+  const std::string path = spill_file_path(service);
   // 128-bit name-collision guard: never overwrite another service's file.
-  std::error_code ec;
-  if (fs::exists(final_path, ec)) {
-    SpillFile existing = read_spill_file(final_path);
-    if (existing.ok && existing.service != service) return false;
-  }
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  if (ok && fsync) {
-    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  }
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok || std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
+  std::string existing;
+  std::string_view existing_service, existing_rows;
+  if (read_file(path, &existing) &&
+      parse_spill_file(existing, &existing_service, &existing_rows) ==
+          FileError::kNone &&
+      existing_service != service) {
     return false;
   }
-  if (fsync && !fsync_dir(dir_)) return false;
-  return true;
-}
-
-std::vector<core::Pattern> PatternStore::partition_rows_locked(
-    std::string_view service) {
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE service = ? "
-                               "ORDER BY pid",
-                           {Value(service)});
-  std::vector<core::Pattern> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) {
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
-  }
-  return out;
-}
-
-std::size_t PatternStore::partition_bytes_locked(std::string_view service) {
-  QueryResult r = db_.exec(
-      "SELECT pid, service, ptext, tokens FROM patterns WHERE service = ?",
-      {Value(service)});
-  std::size_t total = 0;
-  for (const Row& row : r.rows) {
-    total += kPatternRowOverheadBytes + row[0].as_text().size() +
-             row[1].as_text().size() + row[2].as_text().size() +
-             row[3].as_text().size();
-    QueryResult ex =
-        db_.exec("SELECT message FROM examples WHERE pid = ?",
-                 {row[0].as_text()});
-    for (const Row& e : ex.rows) {
-      total += kExampleRowOverheadBytes + e[0].as_text().size();
-    }
-  }
-  return total;
+  return write_store_file(path, kSpillMagic, payload, fsync);
 }
 
 void PatternStore::refresh_partition_locked(std::string_view service) {
   if (governor_ == nullptr) return;
   core::MemoryAccountant* acct = governor_->accountant();
-  const std::size_t bytes = partition_bytes_locked(service);
-  if (bytes == 0) {
+  const auto part = partitions_.find(service);
+  if (part == partitions_.end()) {
     if (acct != nullptr) acct->drop_partition(service);
     governor_->on_deleted(service);
     return;
   }
-  if (acct != nullptr) acct->set_partition_bytes(service, bytes);
+  if (acct != nullptr) acct->set_partition_bytes(service, part->second.bytes);
   governor_->touch(service);
 }
 
 void PatternStore::erase_partition_locked(std::string_view service) {
-  QueryResult r =
-      db_.exec("SELECT pid FROM patterns WHERE service = ?", {Value(service)});
-  for (const Row& row : r.rows) {
-    db_.exec("DELETE FROM examples WHERE pid = ?", {row[0].as_text()});
-  }
-  db_.exec("DELETE FROM patterns WHERE service = ?", {Value(service)});
+  const auto part = partitions_.find(service);
+  if (part == partitions_.end()) return;
+  for (const auto& [pid, p] : part->second.rows) pid_index_.erase(pid);
+  partitions_.erase(part);
 }
 
-void PatternStore::apply_spill(std::string_view service,
-                               std::uint32_t n_patterns,
-                               std::string_view rows_blob) {
+bool PatternStore::mark_spilled_locked(std::string_view service,
+                                       std::size_t patterns) {
   erase_partition_locked(service);
-  // (Re)write the spill file from the embedded rows: a standby applying a
-  // shipped group needs its own copy, and open-replay restores the
-  // file ⟺ spilled invariant even if the live file write was torn. During
-  // a live spill this rewrite is redundant but byte-identical.
-  write_spill_file_locked(service, n_patterns, rows_blob, /*fsync=*/false);
-  spilled_[std::string(service)] = SpilledInfo{n_patterns};
-  if (governor_ != nullptr) {
-    if (auto* acct = governor_->accountant()) acct->drop_partition(service);
-    // Replay/standby apply mirrors a spill the primary already committed;
-    // a local pin cannot veto it. A refused (pinned) entry just stays in
-    // the LRU until the partition is reloaded through on_resident.
-    (void)governor_->on_spilled(service);
-  }
+  spilled_[std::string(service)] = patterns;
+  if (governor_ == nullptr) return true;
+  if (auto* acct = governor_->accountant()) acct->drop_partition(service);
+  return governor_->on_spilled(service);
 }
 
-void PatternStore::apply_reload(std::string_view service,
-                                std::string_view rows_blob) {
-  // Residency ops are self-contained: clear anything present, then insert
-  // the embedded rows verbatim (they hit the INSERT path of apply_upsert).
-  erase_partition_locked(service);
-  std::vector<core::Pattern> rows;
-  if (decode_upsert_ops(rows_blob, &rows)) {
-    for (const core::Pattern& p : rows) apply_upsert(p);
-  } else {
-    store_metrics().corrupt_rows.inc();
-  }
+void PatternStore::mark_resident_locked(std::string_view service,
+                                        DecodedRows rows) {
+  if (rows.bad_rows != 0) store_metrics().corrupt_rows.inc(rows.bad_rows);
+  insert_rows(std::move(rows.rows));
   std::error_code ec;
   fs::remove(spill_file_path(service), ec);
   const auto it = spilled_.find(service);
@@ -1000,15 +944,43 @@ void PatternStore::apply_reload(std::string_view service,
   if (governor_ != nullptr) governor_->on_resident(service);
 }
 
+void PatternStore::apply_spill(std::string_view service,
+                               std::string_view rows) {
+  // (Re)write the spill file from the embedded rows: a standby applying a
+  // shipped group needs its own copy, and open-replay restores the
+  // file ⟺ spilled invariant even if the live file write was torn. During
+  // a live spill this rewrite is redundant but byte-identical.
+  write_spill_file_locked(service, rows, /*fsync=*/false);
+  // Replay/standby apply mirrors a spill the primary already committed; a
+  // local pin cannot veto it. A refused (pinned) entry just stays in the
+  // LRU until the partition is reloaded through on_resident.
+  (void)mark_spilled_locked(service, WalReader{rows}.u32());
+}
+
+void PatternStore::apply_reload(std::string_view service,
+                                std::string_view rows) {
+  // Residency ops are self-contained: clear anything present, then insert
+  // the embedded rows verbatim.
+  erase_partition_locked(service);
+  DecodedRows decoded;
+  if (!decode_rows(rows, &decoded, service)) {
+    store_metrics().corrupt_rows.inc();
+    decoded = DecodedRows{};
+  }
+  mark_resident_locked(service, std::move(decoded));
+}
+
 bool PatternStore::ensure_resident_locked(std::string_view service) {
   const auto it = spilled_.find(service);
   if (it == spilled_.end()) return true;
   obs::TraceSpan span(obs::TraceCat::kStore, "partition_reload");
   const std::string path = spill_file_path(service);
-  SpillFile file = read_spill_file(path);
-  std::vector<core::Pattern> rows;
-  if (!file.ok || file.service != service ||
-      !decode_upsert_ops(file.rows_blob, &rows)) {
+  std::string bytes;
+  std::string_view file_service, rows;
+  DecodedRows decoded;
+  if (!read_file(path, &bytes) ||
+      parse_spill_file(bytes, &file_service, &rows) != FileError::kNone ||
+      file_service != service || !decode_rows(rows, &decoded, service)) {
     // Corrupt or missing spill file: the partition's rows are gone. Stop
     // claiming they exist, surface it loudly, and let the caller proceed
     // with an empty partition (mining will rebuild patterns from traffic).
@@ -1023,15 +995,9 @@ bool PatternStore::ensure_resident_locked(std::string_view service) {
   // Commit point: the kOpReload group (rows embedded) reaches the WAL
   // before the file is deleted, so replay and the standby rebuild the
   // partition from the log alone.
-  std::string ops;
-  encode_residency(ops, kOpReload, service, file.n_patterns, file.rows_blob);
-  append_group(std::move(ops));
-  for (const core::Pattern& p : rows) apply_upsert(p);
-  std::error_code ec;
-  fs::remove(path, ec);
+  append_group(encode_residency(kOpReload, service, rows));
+  mark_resident_locked(service, std::move(decoded));
   fsync_dir(dir_);
-  spilled_.erase(it);
-  if (governor_ != nullptr) governor_->on_resident(service);
   refresh_partition_locked(service);
   if (obs::telemetry_enabled()) store_op("reload").inc();
   return true;
@@ -1052,8 +1018,8 @@ bool PatternStore::spill_partition(const std::string& service) {
   if (governor_ != nullptr && !governor_->try_claim_spill(service)) {
     return false;
   }
-  std::vector<core::Pattern> rows = partition_rows_locked(service);
-  if (rows.empty()) {
+  const auto part = partitions_.find(service);
+  if (part == partitions_.end()) {
     // Nothing to spill. Refresh so a zero-row LRU entry (left by pin/touch
     // on a service with no stored patterns) is dropped once unpinned
     // instead of lingering as a permanent enforce() refusal.
@@ -1061,39 +1027,30 @@ bool PatternStore::spill_partition(const std::string& service) {
     return false;
   }
   obs::TraceSpan span(obs::TraceCat::kStore, "partition_spill");
-  span.set_args(static_cast<std::int64_t>(rows.size()));
-  std::string blob;
-  for (const core::Pattern& p : rows) encode_upsert(blob, p);
-  const std::uint32_t n = static_cast<std::uint32_t>(rows.size());
+  span.set_args(static_cast<std::int64_t>(part->second.rows.size()));
+  const std::string rows = encode_rows(part->second.rows);
   // Durable order: file first (tmp + fsync + rename + dir fsync), then the
   // kOpSpill group, then free the rows. Every crash window reconciles at
   // open() — see the class comment.
-  if (!write_spill_file_locked(service, n, blob, /*fsync=*/true)) {
+  if (!write_spill_file_locked(service, rows, /*fsync=*/true)) {
     return false;
   }
-  std::string ops;
-  encode_residency(ops, kOpSpill, service, n, blob);
-  append_group(std::move(ops));
-  erase_partition_locked(service);
-  spilled_[service] = SpilledInfo{n};
-  if (governor_ != nullptr) {
-    if (auto* acct = governor_->accountant()) acct->drop_partition(service);
-    if (!governor_->on_spilled(service)) {
-      // A lane pinned the service between try_claim_spill above and the
-      // commit: the claim failed late. Undo while still holding our lock —
-      // the spill file just written reloads the rows (the WAL records
-      // spill then reload, a consistent history), so the pinning lane
-      // finds the partition resident exactly as its pin guarantees and
-      // no stats update it applies against the loaded rows is lost.
-      ensure_resident_locked(service);
-      return false;
-    }
+  append_group(encode_residency(kOpSpill, service, rows));
+  if (!mark_spilled_locked(service, part->second.rows.size())) {
+    // A lane pinned the service between try_claim_spill above and the
+    // commit: the claim failed late. Undo while still holding our lock —
+    // the spill file just written reloads the rows (the WAL records spill
+    // then reload, a consistent history), so the pinning lane finds the
+    // partition resident exactly as its pin guarantees and no stats
+    // update it applies against the loaded rows is lost.
+    ensure_resident_locked(service);
+    return false;
   }
   if (obs::telemetry_enabled()) store_op("spill").inc();
   return true;
 }
 
-void PatternStore::reconcile_spill_files_locked() {
+bool PatternStore::reconcile_spill_files_locked() {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
@@ -1105,23 +1062,31 @@ void PatternStore::reconcile_spill_files_locked() {
       continue;
     }
     if (!is_spill_file_name(name)) continue;
-    SpillFile file = read_spill_file(entry.path().string());
-    if (!file.ok) {
+    const std::string path = entry.path().string();
+    std::string bytes;
+    std::string_view service, rows;
+    const FileError error = read_file(path, &bytes)
+                                ? parse_spill_file(bytes, &service, &rows)
+                                : FileError::kTruncated;
+    if (error == FileError::kOldFormat) {
+      last_error_ = path + ": " + file_error_name(error);
+      return false;
+    }
+    if (error != FileError::kNone) {
       obs::logev(obs::LogLevel::kError, "store", "spill_file_corrupt",
-                 {{"path", entry.path().string()}});
+                 {{"path", path}, {"error", file_error_name(error)}});
       fs::remove(entry.path(), ec);
       continue;
     }
-    QueryResult r = db_.exec("SELECT pid FROM patterns WHERE service = ?",
-                             {file.service});
-    if (!r.rows.empty()) {
+    if (partitions_.find(service) != partitions_.end()) {
       // Stale leftover of an interrupted spill: the kOpSpill group never
       // committed, so the rows are still resident and authoritative.
       fs::remove(entry.path(), ec);
       continue;
     }
-    spilled_[file.service] = SpilledInfo{file.n_patterns};
+    spilled_[std::string(service)] = WalReader{rows}.u32();
   }
+  return true;
 }
 
 void PatternStore::attach_governor(core::Governor* governor) {
@@ -1131,17 +1096,8 @@ void PatternStore::attach_governor(core::Governor* governor) {
   governor_->attach_target(this);
   // Seed the ledger and LRU with the current resident partitions, and the
   // spilled set with what reconcile/replay found.
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
-  bool have_last = false;
-  std::string last;
-  for (const Row& row : r.rows) {
-    std::string svc = row[0].as_text();
-    if (have_last && svc == last) continue;
-    refresh_partition_locked(svc);
-    last = std::move(svc);
-    have_last = true;
-  }
-  for (const auto& [svc, info] : spilled_) governor_->seed_spilled(svc);
+  for (const auto& [svc, part] : partitions_) refresh_partition_locked(svc);
+  for (const auto& [svc, patterns] : spilled_) governor_->seed_spilled(svc);
 }
 
 bool PatternStore::is_spilled(std::string_view service) {
@@ -1153,22 +1109,17 @@ std::vector<std::string> PatternStore::spilled_services() {
   std::lock_guard lock(mutex_);
   std::vector<std::string> out;
   out.reserve(spilled_.size());
-  for (const auto& [svc, info] : spilled_) out.push_back(svc);
+  for (const auto& [svc, patterns] : spilled_) out.push_back(svc);
   return out;
 }
 
 std::map<std::string, std::size_t> PatternStore::recount_partition_bytes() {
   std::lock_guard lock(mutex_);
   std::map<std::string, std::size_t> out;
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
-  bool have_last = false;
-  std::string last;
-  for (const Row& row : r.rows) {
-    std::string svc = row[0].as_text();
-    if (have_last && svc == last) continue;
-    out[svc] = partition_bytes_locked(svc);
-    last = std::move(svc);
-    have_last = true;
+  for (const auto& [svc, part] : partitions_) {
+    std::size_t total = 0;
+    for (const auto& [pid, p] : part.rows) total += row_bytes(pid, p);
+    out[svc] = total;
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// PatternStore: persistent pattern repository over the embedded database.
+// PatternStore: persistent pattern repository over a typed partition table.
 //
 // Implements RTG extension #2: "Sequence-RTG stores the patterns in a SQL
 // database in a one-to-many relationship with their related services. We
@@ -7,16 +7,16 @@
 // with a unique ID ... a SHA1 hash of the concatenated text of the pattern
 // and the service."
 //
-// Schema:
-//   patterns(pid TEXT PRIMARY KEY, service TEXT, ptext TEXT, tokens TEXT,
-//            token_count INTEGER, complexity REAL, match_count INTEGER,
-//            first_seen INTEGER, last_matched INTEGER)
-//   examples(pid TEXT, seq INTEGER, message TEXT)
-// with secondary indexes on patterns(service) and examples(pid).
+// The only queries the paper's workflow needs are "the patterns of one
+// service" and "the pattern with this id", so the store holds exactly that
+// shape (DESIGN.md §1 row 6):
 //
-// `tokens` holds the exact token list as JSON so typed variables round-trip
-// losslessly (the display text alone cannot distinguish a key-named
-// %srcport% Integer from a generic String).
+//   service -> (pid -> core::Pattern)   examples inline, pid order
+//   pid -> service                      for find / record_match / delete
+//   service -> running bytes            adjusted by each row's delta
+//
+// Upserts merge through core::merge_pattern_into, the same rule and
+// example cap the in-memory repository uses.
 //
 // Durability (see DESIGN.md §10): open() attaches the store to a directory
 // holding `snapshot-<seq>.db` files plus a `wal.log`. Every acknowledged
@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -36,28 +37,78 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/governor.hpp"
 #include "core/pattern.hpp"
 #include "core/repository.hpp"
-#include "store/database.hpp"
 #include "store/wal.hpp"
 
 namespace seqrtg::store {
 
-/// Serialises pattern tokens to the JSON wire form stored in `tokens`.
-std::string pattern_tokens_to_json(
-    const std::vector<core::PatternToken>& tokens);
+// Row codec (DESIGN.md §10): the one binary encoding of a pattern row,
+// shared by the snapshot, spill files, WAL upsert ops and the residency
+// ops a standby receives in replicated groups. Little-endian, via the
+// wal_put_* helpers:
+//
+//   row   := string(service) u32(n_tokens) token* u64(match_count)
+//            i64(first_seen) i64(last_matched) u32(n_examples) string*
+//   token := u8(flags: 1 = variable, 2 = space before) u8(TokenType)
+//            string(text) string(name)
+//   rows  := u32(n) string(row)*      each row length-prefixed, so a
+//                                     malformed row is skipped, not fatal
+//
+// The pid is not stored: it is derived (SHA-1 of text + service).
+//
+// Store files frame a payload with a magic, the format version and a CRC:
+//
+//   file     := magic[8] u32(version) u32(len) u32(crc32(payload)) payload
+//   snapshot := "SQRTGSNP" ... payload = rows
+//   spill    := "SQRTGSPL" ... payload = string(service) rows
+//
+// Version 1 was the `seqrtgdb 1` text snapshot with JSON token lists. It is
+// refused with an error naming it, never converted and never treated as an
+// empty store.
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
-/// Parses the JSON wire form; std::nullopt on malformed input.
-std::optional<std::vector<core::PatternToken>> pattern_tokens_from_json(
-    std::string_view json);
+/// Appends one row body (no length prefix).
+void encode_row(std::string& out, const core::Pattern& p);
+
+/// Decodes exactly one row body. False on truncation, trailing bytes,
+/// unknown flag bits or an unknown token-type tag.
+bool decode_row(std::string_view bytes, core::Pattern* out);
+
+/// Why a snapshot or spill file was refused.
+enum class FileError : std::uint8_t {
+  kNone,
+  kTruncated,    // shorter than its header or declared payload
+  kBadMagic,     // not a store file of this kind
+  kOldFormat,    // a version 1 file (seqrtgdb text / SQRTGSP1 spill)
+  kBadVersion,   // right magic, unknown version
+  kBadChecksum,  // payload CRC mismatch
+  kBadPayload,   // CRC-valid payload whose framing does not parse
+};
+const char* file_error_name(FileError e);
+
+/// A decoded snapshot or spill file. When error is kNone the accounting
+/// is exact: rows.size() + bad_rows == declared.
+struct DecodedRows {
+  FileError error = FileError::kNone;
+  std::string service;         // spill files only
+  std::uint32_t declared = 0;  // row count in the payload
+  std::vector<core::Pattern> rows;
+  /// Framed rows that failed decode_row, or (in a spill file) name
+  /// another service than the file's.
+  std::size_t bad_rows = 0;
+};
+DecodedRows decode_snapshot(std::string_view bytes);
+DecodedRows decode_spill_file(std::string_view bytes);
 
 // Partition spill (resource governance, DESIGN.md §17):
 //
 // A spilled partition's rows live in a per-service `spill-<hash>.sp` file
-// (write-to-temp + fsync + rename) instead of the in-memory database. Two
+// (write-to-temp + fsync + rename) instead of the partition table. Two
 // WAL ops make residency transitions replayable AND replicable:
 //
 //   kOpSpill(service, rows)  — erase the partition's rows, (re)write its
@@ -83,10 +134,8 @@ std::optional<std::vector<core::PatternToken>> pattern_tokens_from_json(
 class PatternStore final : public core::PatternRepository,
                            public core::SpillTarget {
  public:
-  /// Creates the schema in a fresh in-memory database.
-  PatternStore();
-
   // PatternRepository:
+  /// A service's patterns in pid order.
   std::vector<core::Pattern> load_service(std::string_view service) override;
   std::vector<std::string> services() override;
   void upsert_pattern(const core::Pattern& p) override;
@@ -100,7 +149,7 @@ class PatternStore final : public core::PatternRepository,
   /// commit_batch() the WAL records of every mutation are buffered and
   /// appended+fsynced as ONE commit group, so the durable store either
   /// holds the whole batch or none of it. abort_batch() discards the
-  /// buffered records — the in-memory database keeps any ops already
+  /// buffered records — the partition table keeps any ops already
   /// applied, so an aborted batch leaves memory ahead of the log; reopen
   /// the directory to fall back to the last committed state.
   ///
@@ -112,8 +161,9 @@ class PatternStore final : public core::PatternRepository,
   void commit_batch() override;
   void abort_batch() override;
 
-  /// All patterns (optionally filtered), ordered by match count descending —
-  /// the review/export ordering ("select only the strongest patterns").
+  /// All patterns (optionally filtered), ordered by match count descending,
+  /// ties in (service, pid) order — the review/export ordering ("select
+  /// only the strongest patterns").
   struct ExportFilter {
     std::uint64_t min_match_count = 0;
     /// Patterns at or above this complexity are excluded (1.01 = keep all).
@@ -124,15 +174,20 @@ class PatternStore final : public core::PatternRepository,
 
   /// Persists/restores the whole store as a single snapshot file (no
   /// journal — the legacy `--db` path). Prefer open() for crash safety.
+  /// load() leaves the store empty on failure; last_error() says why.
   bool save(const std::string& path);
   bool load(const std::string& path);
 
   /// Attaches the store to a durable directory: loads the newest valid
   /// snapshot, replays the WAL tail (truncating at the first corrupt
   /// record), and keeps the log open for appending. Creates the directory
-  /// when missing. Returns false on unrecoverable I/O errors; the store
-  /// is left empty and non-durable in that case.
+  /// when missing. Returns false on unrecoverable I/O errors and on
+  /// directories written in an older format; the store is left empty and
+  /// non-durable in that case and last_error() says why.
   bool open(const std::string& dir);
+
+  /// Why the last open() or load() failed (empty after a success).
+  std::string last_error();
 
   /// True when open() attached a directory and the WAL is live.
   bool durable() const { return wal_.is_open(); }
@@ -200,9 +255,6 @@ class PatternStore final : public core::PatternRepository,
   /// (read after the writers have quiesced).
   bool wal_wedged() const { return wal_.wedged(); }
 
-  /// Direct access for ad-hoc SQL (tests, tooling).
-  Database& database() { return db_; }
-
   /// Governance wiring: registers this store as the governor's spill
   /// target, seeds the accountant's ledger and the governor's LRU with
   /// the current resident partitions, and from then on reports every
@@ -223,48 +275,61 @@ class PatternStore final : public core::PatternRepository,
   bool is_spilled(std::string_view service);
   std::vector<std::string> spilled_services();
 
-  /// Authoritative recount of every resident partition's bytes, computed
-  /// from the rows themselves — the governance oracle audits the
-  /// accountant's ledger against this.
+  /// Independent recount of every resident partition's bytes, recomputed
+  /// from the rows themselves (never from the running totals) — the
+  /// governance oracle audits the accountant's ledger against this.
   std::map<std::string, std::size_t> recount_partition_bytes();
 
  private:
-  /// std::nullopt when the row is unrecoverable (both the JSON token list
-  /// and the display-text fallback fail to parse) — counted in
-  /// seqrtg_store_corrupt_rows_total and skipped by every reader.
-  std::optional<core::Pattern> row_to_pattern(const Row& row);
-  std::vector<std::string> load_examples(const std::string& pid);
-  void create_schema();
+  struct Partition {
+    std::map<std::string, core::Pattern, std::less<>> rows;  // pid -> row
+    /// Running estimate of the partition's resident bytes; every mutation
+    /// adds its row's delta (see row_bytes in the .cpp).
+    std::size_t bytes = 0;
+  };
+  using PartitionMap = std::map<std::string, Partition, std::less<>>;
 
   // Unlocked mutation bodies shared by the public entry points and WAL
   // replay (replay must not re-append). record_match/delete return the
-  // owning service (nullopt when no row matched) so the public entry
+  // owning service (nullptr when no row matched) so the public entry
   // points can maintain the partition ledger and batch-scope bookkeeping.
-  void apply_upsert(const core::Pattern& p);
-  std::optional<std::string> apply_record_match(const std::string& id,
-                                                std::uint64_t count,
-                                                std::int64_t when);
+  void apply_upsert(core::Pattern p);
+  const std::string* apply_record_match(const std::string& id,
+                                        std::uint64_t count,
+                                        std::int64_t when);
   std::optional<std::string> apply_delete(const std::string& id);
   /// Replay bodies of the residency ops (also used by replicated apply).
-  void apply_spill(std::string_view service, std::uint32_t n_patterns,
-                   std::string_view rows_blob);
-  void apply_reload(std::string_view service, std::string_view rows_blob);
+  void apply_spill(std::string_view service, std::string_view rows);
+  void apply_reload(std::string_view service, std::string_view rows);
+
+  /// Inserts decoded rows into the table (snapshot load, reload).
+  void insert_rows(std::vector<core::Pattern> rows);
+  /// Drops every row and the spilled set (open/load reset).
+  void clear_locked();
+  /// Resident and spilled service names, sorted.
+  std::vector<std::string> services_locked() const;
+  /// The snapshot payload: every resident row, in (service, pid) order.
+  std::string snapshot_rows_locked() const;
 
   // Spill machinery (all require mutex_ held).
   std::string spill_file_path(std::string_view service) const;
   bool write_spill_file_locked(std::string_view service,
-                               std::uint32_t n_patterns,
-                               std::string_view rows_blob, bool fsync);
+                               std::string_view rows, bool fsync);
   bool ensure_resident_locked(std::string_view service);
+  /// Residency transitions shared by live spill/reload and their replay.
+  /// mark_spilled_locked drops the rows and records the spill; false when
+  /// the governor refuses the commit because a pin landed.
+  bool mark_spilled_locked(std::string_view service, std::size_t patterns);
+  /// Inserts a reloaded partition's rows and deletes its spill file.
+  void mark_resident_locked(std::string_view service, DecodedRows rows);
   void erase_partition_locked(std::string_view service);
-  std::vector<core::Pattern> partition_rows_locked(std::string_view service);
-  std::size_t partition_bytes_locked(std::string_view service);
-  /// Recomputes `service`'s ledger entry (and LRU presence) after a
-  /// mutation. No-op without an attached governor.
+  /// Pushes `service`'s running total (and LRU presence) to the governor
+  /// after a mutation. No-op without an attached governor.
   void refresh_partition_locked(std::string_view service);
   /// open()-time reconciliation: stale spill files (service resident) are
-  /// deleted, the rest define the spilled set.
-  void reconcile_spill_files_locked();
+  /// deleted, the rest define the spilled set. False when a spill file is
+  /// in the old format (last_error_ set).
+  bool reconcile_spill_files_locked();
   /// Appends `ops` (or buffers them into the calling thread's open batch
   /// scope) and fsyncs.
   void log_ops(std::string ops);
@@ -275,11 +340,18 @@ class PatternStore final : public core::PatternRepository,
   void append_group(std::string ops);
   /// Decodes and applies one replayed commit group.
   void replay_ops(std::string_view ops);
+  /// Reads and applies a snapshot file; on failure sets last_error_ and
+  /// leaves the table untouched.
+  FileError load_snapshot_locked(const std::string& path);
 
   std::mutex mutex_;
-  Database db_;
+  PartitionMap partitions_;
+  /// pid -> owning partition. Keys view the row's key in its partition
+  /// map (stable until the row is erased; the index entry goes first).
+  std::unordered_map<std::string_view, PartitionMap::iterator> pid_index_;
   Wal wal_;
   std::string dir_;
+  std::string last_error_;
   std::uint64_t snapshot_seq_ = 0;
   std::function<void(std::uint64_t, std::string_view)> commit_sink_;
   /// Open batch scopes, one buffered commit group per thread (guarded by
@@ -292,10 +364,8 @@ class PatternStore final : public core::PatternRepository,
       batch_services_;
 
   core::Governor* governor_ = nullptr;
-  struct SpilledInfo {
-    std::size_t patterns = 0;
-  };
-  std::map<std::string, SpilledInfo, std::less<>> spilled_;
+  /// Spilled services -> pattern count (pattern_count() without a read).
+  std::map<std::string, std::size_t, std::less<>> spilled_;
 };
 
 }  // namespace seqrtg::store

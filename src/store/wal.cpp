@@ -14,7 +14,8 @@ namespace seqrtg::store {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'Q', 'R', 'T', 'G', 'W', 'A', 'L'};
-constexpr std::uint32_t kVersion = 1;
+/// Version 1 logs carried JSON token lists in their upsert ops.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4;
 /// Framing per record: payload length + CRC.
 constexpr std::size_t kFrameSize = 8;
@@ -183,6 +184,13 @@ Wal::ReplayResult Wal::replay(const std::string& path) {
   const std::string header = header_bytes();
   if (bytes.size() < header.size() ||
       std::memcmp(bytes.data(), header.data(), header.size()) != 0) {
+    if (bytes.size() >= header.size() &&
+        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
+      const std::uint32_t version = read_u32(bytes.data() + sizeof(kMagic));
+      result.error = path + ": write-ahead log format version " +
+                     std::to_string(version) + "; this build reads version " +
+                     std::to_string(kVersion) + " only";
+    }
     result.ok = bytes.empty();  // zero-byte file: crash before the header
     result.truncated = !bytes.empty();
     result.valid_bytes = 0;

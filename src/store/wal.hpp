@@ -6,7 +6,7 @@
 // acknowledged mutation durable independently of the snapshot cycle:
 //
 //   file   := header record*
-//   header := "SQRTGWAL" u32(version = 1)
+//   header := "SQRTGWAL" u32(version = 2)
 //   record := u32(payload_len) u32(crc32(payload)) payload
 //   payload:= u64(seq) op-bytes...
 //
@@ -17,7 +17,10 @@
 // everything after it (a corrupt middle implies an untrustworthy tail).
 //
 // Sequence numbers are monotonic across snapshot rotations and never
-// reset. A snapshot file is named after the last sequence it contains
+// reset. The header version is the store format version (see
+// kStoreFormatVersion in pattern_store.hpp): op payloads carry rows in the
+// store's row codec, so a log of another version is refused, not replayed.
+// A snapshot file is named after the last sequence it contains
 // (`snapshot-<seq>.db`), so recovery replays only records with
 // seq > snapshot watermark — a crash between the snapshot rename and the
 // WAL truncation merely leaves stale records that replay skips.
@@ -64,9 +67,12 @@ class Wal {
   };
 
   struct ReplayResult {
-    /// False only when the file exists but its header is unreadable or
-    /// foreign (a missing file replays as zero records, ok == true).
+    /// False only when the file exists but its header is unreadable,
+    /// foreign or of another format version (a missing file replays as
+    /// zero records, ok == true).
     bool ok = true;
+    /// Set when ok is false because the header names another version.
+    std::string error;
     /// True when a partial or corrupt record ended the scan early.
     bool truncated = false;
     /// Byte offset of the end of the last valid record (>= header size).

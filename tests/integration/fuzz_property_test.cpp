@@ -1,7 +1,8 @@
-// Robustness property tests: the scanner, JSON parser, SQL parser and XML
-// reader sit on untrusted input paths (log payloads arrive from every
-// daemon in the fleet), so none of them may crash, hang or mis-account on
-// arbitrary bytes. Seeds are fixed; each case runs thousands of random
+// Robustness property tests: the scanner, JSON parser and XML reader sit
+// on untrusted input paths (log payloads arrive from every daemon in the
+// fleet), so none of them may crash, hang or mis-account on arbitrary
+// bytes. The store's file and row decoders have their own byte-mutation
+// fuzz in tests/store/row_codec_fuzz_test.cpp. Seeds are fixed; each case runs thousands of random
 // inputs.
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 
 #include "core/pattern.hpp"
 #include "core/scanner.hpp"
-#include "store/sql.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/xml.hpp"
@@ -111,24 +111,6 @@ TEST(JsonFuzz, TruncationsOfValidDocumentNeverCrash) {
     } else {
       EXPECT_FALSE(result.ok()) << "cut at " << cut;
     }
-  }
-}
-
-TEST(SqlFuzz, ArbitraryStatementsNeverCrash) {
-  util::Rng rng(0x5EED);
-  for (int i = 0; i < 5000; ++i) {
-    std::string error;
-    (void)store::sql_parse(random_printable(rng, 150), &error);
-  }
-}
-
-TEST(SqlFuzz, TruncationsOfValidStatementNeverCrash) {
-  const std::string sql =
-      "SELECT a, b FROM t WHERE x = ? AND y = 'str''x' "
-      "ORDER BY c DESC LIMIT 10";
-  for (std::size_t cut = 0; cut <= sql.size(); ++cut) {
-    std::string error;
-    (void)store::sql_parse(sql.substr(0, cut), &error);
   }
 }
 

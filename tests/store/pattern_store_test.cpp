@@ -6,9 +6,13 @@
 #include <filesystem>
 
 #include "obs/metrics.hpp"
+#include "store_test_files.hpp"
 
 namespace seqrtg::store {
 namespace {
+
+using test::TempDir;
+using test::write_file;
 
 core::Pattern make_pattern(std::string service, std::string text_word,
                            std::uint64_t count = 1) {
@@ -30,18 +34,39 @@ core::Pattern make_pattern(std::string service, std::string text_word,
   return p;
 }
 
-TEST(PatternTokensJson, RoundTrip) {
-  const core::Pattern p = make_pattern("svc", "event");
-  const std::string json = pattern_tokens_to_json(p.tokens);
-  const auto back = pattern_tokens_from_json(json);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, p.tokens);
+TEST(RowCodec, RoundTrip) {
+  core::Pattern p = make_pattern("svc", "event", 7);
+  p.tokens[1].var_type = core::TokenType::IPv6;
+  p.stats.first_seen = -5;
+  p.examples = {"event 1", std::string("bin\0ary", 7)};
+  std::string bytes;
+  encode_row(bytes, p);
+  core::Pattern back;
+  ASSERT_TRUE(decode_row(bytes, &back));
+  EXPECT_EQ(back.service, p.service);
+  EXPECT_EQ(back.tokens, p.tokens) << "typed tokens must round-trip";
+  EXPECT_EQ(back.stats.match_count, 7u);
+  EXPECT_EQ(back.stats.first_seen, -5);
+  EXPECT_EQ(back.stats.last_matched, p.stats.last_matched);
+  EXPECT_EQ(back.examples, p.examples);
 }
 
-TEST(PatternTokensJson, RejectsMalformed) {
-  EXPECT_FALSE(pattern_tokens_from_json("not json").has_value());
-  EXPECT_FALSE(pattern_tokens_from_json("{}").has_value());
-  EXPECT_FALSE(pattern_tokens_from_json("[{\"v\":1}]").has_value());
+TEST(RowCodec, RejectsMalformed) {
+  std::string bytes;
+  encode_row(bytes, make_pattern("svc", "event"));
+  core::Pattern out;
+  EXPECT_FALSE(decode_row("", &out));
+  EXPECT_FALSE(decode_row(bytes.substr(0, bytes.size() - 1), &out))
+      << "truncated";
+  EXPECT_FALSE(decode_row(bytes + "x", &out)) << "trailing bytes";
+  // First token: string(service) u32(n_tokens), then flags and type.
+  const std::size_t flags_at = 4 + 3 + 4;
+  std::string bad_flags = bytes;
+  bad_flags[flags_at] = 4;
+  EXPECT_FALSE(decode_row(bad_flags, &out));
+  std::string bad_type = bytes;
+  bad_type[flags_at + 1] = 14;
+  EXPECT_FALSE(decode_row(bad_type, &out)) << "unknown token-type tag";
 }
 
 TEST(PatternStore, UpsertFindRoundTrip) {
@@ -243,36 +268,91 @@ TEST(PatternStore, LoadFailureLeavesUsableEmptyStore) {
   EXPECT_EQ(store.pattern_count(), 1u);
 }
 
+/// A CRC-valid snapshot file image holding `good` and one row whose first
+/// token carries an unknown token-type tag.
+std::string snapshot_with_bad_row(const core::Pattern& good) {
+  std::string bad_row;
+  encode_row(bad_row, make_pattern(good.service, "bad", 9));
+  bad_row[4 + good.service.size() + 4 + 1] = 0x7f;
+  std::string good_row;
+  encode_row(good_row, good);
+  std::string payload;
+  wal_put_u32(payload, 2);
+  wal_put_string(payload, good_row);
+  wal_put_string(payload, bad_row);
+  std::string file = "SQRTGSNP";
+  wal_put_u32(file, kStoreFormatVersion);
+  wal_put_u32(file, static_cast<std::uint32_t>(payload.size()));
+  wal_put_u32(file, crc32(payload));
+  return file + payload;
+}
+
 TEST(PatternStore, CorruptRowIsSkippedAndCounted) {
-  PatternStore store;
-  store.upsert_pattern(make_pattern("svc", "good", 5));
-  // A row whose tokens JSON AND display text are both unparseable: readers
-  // must skip it (never abort the scan) and count it.
-  store.database().exec(
-      "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-      {"badrow", "svc", "%unterminated", "{{{not json", 1, 0.0, 3, 1, 1});
+  TempDir dir("store_test_corrupt_row");
+  const core::Pattern good = make_pattern("svc", "good", 5);
+  write_file(dir.path / "snapshot-1.db", snapshot_with_bad_row(good));
   auto& corrupt =
       obs::default_registry().counter("seqrtg_store_corrupt_rows_total", "");
-  const std::uint64_t before = corrupt.value();
+
+  // Through open(): the snapshot decodes, the bad row is skipped and
+  // counted, the directory stays usable.
+  std::uint64_t before = corrupt.value();
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.path.string())) << store.last_error();
+  EXPECT_EQ(corrupt.value(), before + 1);
   const auto patterns = store.load_service("svc");
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0].stats.match_count, 5u);
-  EXPECT_GT(corrupt.value(), before);
-  // find() and export_patterns() take the same skip path.
-  EXPECT_FALSE(store.find("badrow").has_value());
+  EXPECT_EQ(store.pattern_count(), 1u);
   EXPECT_EQ(store.export_patterns({}).size(), 1u);
+
+  // Through the legacy load() of the same bytes.
+  before = corrupt.value();
+  PatternStore loaded;
+  ASSERT_TRUE(loaded.load((dir.path / "snapshot-1.db").string()));
+  EXPECT_EQ(corrupt.value(), before + 1);
+  EXPECT_TRUE(loaded.find(good.id()).has_value());
+  EXPECT_EQ(loaded.pattern_count(), 1u);
 }
 
-TEST(PatternStore, DegradedRowFallsBackToDisplayText) {
+// Store format version 1 (the `seqrtgdb 1` text snapshot and a WAL whose
+// ops held JSON token lists) is refused with an error naming it. There is
+// no converter and no silent fallback to an empty store.
+TEST(PatternStore, OldFormatDirectoryFailsLoudly) {
+  TempDir dir("store_test_old_format");
+  const std::string old_snapshot =
+      "seqrtgdb 1\ntable patterns 9 0\ncol pid text\n";
+  std::string old_wal = "SQRTGWAL";
+  wal_put_u32(old_wal, 1);
+  write_file(dir.path / "snapshot-4.db", old_snapshot);
+  write_file(dir.path / "wal.log", old_wal);
+
   PatternStore store;
-  // Valid display text, corrupt JSON: the row survives with String-typed
-  // variables instead of being dropped.
-  store.database().exec(
-      "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-      {"degraded", "svc", "login %user%", "not json", 2, 0.5, 4, 1, 1});
-  const auto found = store.find("degraded");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->text(), "login %user%");
+  EXPECT_FALSE(store.open(dir.path.string()));
+  EXPECT_NE(store.last_error().find("version 1"), std::string::npos)
+      << store.last_error();
+  EXPECT_NE(store.last_error().find("seqrtgdb"), std::string::npos)
+      << store.last_error();
+  EXPECT_FALSE(store.durable());
+  EXPECT_EQ(store.pattern_count(), 0u);
+  // The old files are left exactly as they were.
+  EXPECT_TRUE(std::filesystem::exists(dir.path / "snapshot-4.db"));
+
+  // A v1 WAL on its own fails the same way.
+  std::filesystem::remove(dir.path / "snapshot-4.db");
+  EXPECT_FALSE(store.open(dir.path.string()));
+  EXPECT_NE(store.last_error().find("version 1"), std::string::npos)
+      << store.last_error();
+  EXPECT_FALSE(store.durable());
+
+  // So does load() of an old --db file.
+  const std::string db = (dir.path / "legacy.db").string();
+  write_file(db, old_snapshot);
+  PatternStore legacy;
+  EXPECT_FALSE(legacy.load(db));
+  EXPECT_NE(legacy.last_error().find("version 1"), std::string::npos)
+      << legacy.last_error();
+  EXPECT_EQ(legacy.pattern_count(), 0u);
 }
 
 TEST(PatternStore, WorksThroughRepositoryInterface) {
